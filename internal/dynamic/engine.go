@@ -3,10 +3,8 @@ package dynamic
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"hotpotato/internal/graph"
-	"hotpotato/internal/paths"
 	"hotpotato/internal/persist"
 )
 
@@ -56,18 +54,11 @@ type Engine struct {
 	rng *rand.Rand
 
 	sources []graph.NodeID
-	dstsOf  [][]graph.NodeID
 
-	// sampler reuses one forward-path-count scratch across all path
-	// draws (λ-arrivals and pending injections).
-	sampler paths.ForwardPathSampler
-
-	// pathCnt[d] is the precomputed paths.CountsTo table for eligible
-	// destination d (nil = not precomputed; drawPath then falls back to
-	// the counting sampler). The table depends only on d, so computing
-	// the rows once at construction takes the O(V+E) counting pass off
-	// the injection hot path.
-	pathCnt [][]int64
+	// cone indexes every forward-reachable (src, dst) pair: the path
+	// counts uniform path draws weight each hop by, and each source's
+	// destination list. Built once; no draw ever recounts.
+	cone coneIndex
 
 	// Packet columns, indexed by slot. A slot is recycled through free
 	// when its packet delivers; its path buffer stays with the slot so
@@ -87,16 +78,15 @@ type Engine struct {
 	live []int32 // live slots in injection order
 
 	// Per-node occupancy: atList[atOff[v]:atOff[v]+atN[v]] are the
-	// slots parked at node v, in arrival order. The arena holds exactly
+	// slots parked at node v, in live order. The arena holds exactly
 	// sum(deg(v)) = 2|E| entries: occupancy can never exceed degree —
 	// after an injection occ(v) <= 1 (the source must be empty), and in
 	// a step where any packet stays at v every healthy out-slot of v
 	// carries a mover away while arrivals only come over healthy edges,
 	// so arrivals <= departures and occ(v) never grows past deg(v).
-	atOff    []int32 // node -> arena offset (prefix sums of degree), len N+1
-	atN      []int32 // node -> current occupancy
-	atList   []int32 // the arena
-	occupied []int32 // nodes with atN > 0; rebuilt each commit
+	atOff  []int32 // node -> arena offset (prefix sums of degree), len N+1
+	atN    []int32 // node -> current occupancy
+	atList []int32 // the arena
 
 	// Per-transmission-slot scratch (slot si = edge<<1 | direction),
 	// epoch-stamped so steps never clear it: a stamp != epoch means
@@ -157,11 +147,6 @@ const (
 // installed path so the first deflections prepend in place.
 const pathHeadroom = 8
 
-// maxPathCntEntries caps the per-destination path-count arena (int64
-// entries, so 32 MB): beyond it, path draws recount per draw instead
-// of indexing precomputed tables.
-const maxPathCntEntries = 1 << 22
-
 // foldDigest folds one 64-bit word into the FNV-1a running digest.
 func foldDigest(h, x uint64) uint64 {
 	for i := 0; i < 8; i++ {
@@ -205,7 +190,7 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	}
 	e.rng = rand.New(e.src)
 
-	// Eligible sources and their reachable destination lists.
+	// Eligible sources: every node with a forward move to make.
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if g.Node(v).Level < g.Depth() && len(g.Node(v).Up) > 0 {
 			e.sources = append(e.sources, v)
@@ -214,55 +199,18 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	if len(e.sources) == 0 {
 		return nil, fmt.Errorf("dynamic: network has no eligible sources")
 	}
-	e.dstsOf = make([][]graph.NodeID, g.NumNodes())
-	for _, s := range e.sources {
-		reach := g.ForwardReachableFrom(s)
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if v != s && reach[v] {
-				e.dstsOf[s] = append(e.dstsOf[s], v)
-			}
-		}
+	var err error
+	if e.cone, err = newConeIndex(g); err != nil {
+		return nil, err
 	}
 
 	nn, ne := g.NumNodes(), g.NumEdges()
-
-	// Per-destination forward-path-count tables: path draws weight each
-	// hop by the number of forward paths through it, and the table
-	// depends only on the destination — recomputing it per draw (an
-	// O(V+E) counting pass) dominated the injection phase. Precompute
-	// one row per eligible destination, carved from a single arena,
-	// unless the arena would exceed maxPathCntEntries (then drawPath
-	// falls back to the per-draw counting sampler).
-	eligibleDst := make([]bool, nn)
-	rows := 0
-	for _, s := range e.sources {
-		for _, d := range e.dstsOf[s] {
-			if !eligibleDst[d] {
-				eligibleDst[d] = true
-				rows++
-			}
-		}
-	}
-	e.pathCnt = make([][]int64, nn)
-	if entries := rows * nn; entries > 0 && entries <= maxPathCntEntries {
-		arena := make([]int64, entries)
-		row := 0
-		for d, ok := range eligibleDst {
-			if !ok {
-				continue
-			}
-			e.pathCnt[d] = paths.CountsTo(g, graph.NodeID(d), arena[row*nn:(row+1)*nn])
-			row++
-		}
-	}
-
 	e.atOff = make([]int32, nn+1)
 	for v := 0; v < nn; v++ {
 		e.atOff[v+1] = e.atOff[v] + int32(g.Node(graph.NodeID(v)).Degree())
 	}
 	e.atN = make([]int32, nn)
 	e.atList = make([]int32, e.atOff[nn])
-	e.occupied = make([]int32, 0, nn)
 	e.slotEpoch = make([]uint32, 2*ne)
 	e.slotCount = make([]int32, 2*ne)
 	e.slotWinner = make([]int32, 2*ne)
@@ -279,7 +227,9 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	// cap and the occupancy invariant (sum over v of occ(v) <= deg(v)
 	// is 2|E|), so the packet columns can be built at full size up
 	// front, every slot pre-fitted with a path buffer that holds a
-	// maximal forward path (depth edges) plus deflection headroom.
+	// maximal forward path (depth edges) plus deflection headroom. The
+	// buffers are capacity-capped windows of one arena, so a buffer that
+	// must grow detaches instead of overrunning its neighbor.
 	maxSlots := cfg.MaxInFlight
 	if bound := 2 * ne; bound < maxSlots {
 		maxSlots = bound
@@ -299,10 +249,11 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	e.grantSlot = make([]int32, maxSlots)
 	e.stallEpoch = make([]uint32, maxSlots)
 	e.free = make([]int32, 0, maxSlots)
+	bufArena := make([]graph.EdgeID, maxSlots*pathCap)
 	for s := maxSlots - 1; s >= 0; s-- {
 		e.pArrEdge[s] = -1
 		e.pTenant[s] = -1
-		e.pBuf[s] = make([]graph.EdgeID, pathCap)
+		e.pBuf[s] = bufArena[s*pathCap : (s+1)*pathCap : (s+1)*pathCap]
 		e.free = append(e.free, int32(s)) // pops yield 0, 1, 2, ...
 	}
 	e.live = make([]int32, 0, maxSlots)
@@ -363,14 +314,7 @@ func (e *Engine) Submit(tenant string, src, dst graph.NodeID) error {
 	if int(src) < 0 || int(src) >= e.g.NumNodes() || int(dst) < 0 || int(dst) >= e.g.NumNodes() {
 		return fmt.Errorf("dynamic: submit: node out of range")
 	}
-	reachable := false
-	for _, d := range e.dstsOf[src] {
-		if d == dst {
-			reachable = true
-			break
-		}
-	}
-	if !reachable {
+	if !e.cone.reaches(src, dst) {
 		return fmt.Errorf("dynamic: submit: node %d cannot reach %d forward (or %d is not an eligible source)", src, dst, src)
 	}
 	e.offerPending(pendingEntry{tenant: e.internTenant(tenant), src: src, dst: dst})
@@ -426,13 +370,9 @@ func (e *Engine) offerPending(en pendingEntry) {
 }
 
 // drawPath samples a forward src→dst path into a pooled buffer — the
-// RNG consumption of paths.RandomForwardPath, minus its counting pass
-// whenever dst has a precomputed table.
+// RNG consumption of paths.RandomForwardPath, without its counting pass.
 func (e *Engine) drawPath(src, dst graph.NodeID) ([]graph.EdgeID, error) {
-	if cnt := e.pathCnt[dst]; cnt != nil {
-		return paths.AppendPathCounted(e.g, e.rng, src, dst, cnt, e.borrowQBuf())
-	}
-	return e.sampler.AppendPath(e.g, e.rng, src, dst, e.borrowQBuf())
+	return e.cone.appendPath(e.rng, src, dst, e.borrowQBuf())
 }
 
 // borrowQBuf takes a pooled path backing for a pending/retry entry.
@@ -527,9 +467,6 @@ func (e *Engine) parkAt(v graph.NodeID, s int32) {
 	off := e.atOff[v]
 	if off+n >= e.atOff[v+1] {
 		panic(fmt.Sprintf("dynamic: node %d occupancy exceeds degree %d", v, e.atOff[v+1]-off))
-	}
-	if n == 0 {
-		e.occupied = append(e.occupied, int32(v))
 	}
 	e.atList[off+n] = s
 	e.atN[v] = n + 1
@@ -648,6 +585,12 @@ func (e *Engine) Step() error {
 	if e.finalized {
 		return fmt.Errorf("dynamic: Step after Finalize")
 	}
+	// A step injects at most one packet per node (a source must be
+	// empty), so these bounds keep both counters within the range
+	// snapshots accept, and far from int overflow.
+	if e.step >= persist.MaxEngineCounter || e.nextID > persist.MaxEngineCounter-e.g.NumNodes() {
+		return fmt.Errorf("dynamic: step %d / next_id %d: counters exhausted (bound %d)", e.step, e.nextID, persist.MaxEngineCounter)
+	}
 	t := e.step
 	cfg := &e.cfg
 	res := e.res
@@ -693,7 +636,7 @@ func (e *Engine) Step() error {
 			en := e.pending[i]
 			if en.random {
 				s := e.sources[e.rng.Intn(len(e.sources))]
-				cands := e.dstsOf[s]
+				cands := e.cone.dstsOf[s]
 				if len(cands) == 0 {
 					// A source with no forward-reachable destination is
 					// excluded from e.sources only if it has no Up edges;
@@ -737,7 +680,7 @@ func (e *Engine) Step() error {
 				continue
 			}
 			res.Offered++
-			cands := e.dstsOf[s]
+			cands := e.cone.dstsOf[s]
 			if len(cands) == 0 {
 				continue
 			}
@@ -796,81 +739,81 @@ func (e *Engine) Step() error {
 		e.grantSlot[w] = si
 	}
 
-	// Deflect losers per node, in node-ID order (determinism): arrival
-	// reversal first, then safe-backward (an edge that carried a
-	// forward move last step), then any backward, then any forward.
-	slices.Sort(e.occupied)
-	for _, vi := range e.occupied {
-		v := graph.NodeID(vi)
-		lst := e.atList[e.atOff[v] : e.atOff[v]+e.atN[v]]
+	// Deflect losers, in live order: arrival reversal first, then
+	// safe-backward (an edge that carried a forward move last step),
+	// then any backward, then any forward. Every slot a loser can claim
+	// leaves its own node, so only the packets parked at the same node
+	// compete for it — and those sit in live order in atList. Visiting
+	// losers in live order is therefore exactly the per-node, node-ID
+	// ordered sweep, without sorting the occupied nodes.
+	for _, s := range e.live {
+		if e.grantEpoch[s] == ep {
+			continue
+		}
+		v := graph.NodeID(e.pCur[s])
 		node := e.g.Node(v)
-		for _, s := range lst {
-			if e.grantEpoch[s] == ep {
-				continue
+		assigned := false
+		if ae := e.pArrEdge[s]; ae != -1 {
+			rd := graph.Direction(e.pArrDir[s]).Reverse()
+			si := ae<<1 | int32(rd)
+			if e.usedEpoch[si] != ep && !e.down(graph.EdgeID(ae), t) {
+				e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
+				assigned = true
 			}
-			assigned := false
-			if ae := e.pArrEdge[s]; ae != -1 {
-				rd := graph.Direction(e.pArrDir[s]).Reverse()
-				si := ae<<1 | int32(rd)
-				if e.usedEpoch[si] != ep && !e.down(graph.EdgeID(ae), t) {
+		}
+		if !assigned {
+			for _, ed := range node.Down {
+				si := int32(ed)<<1 | int32(graph.Backward)
+				if e.usedEpoch[si] != ep && !e.down(ed, t) &&
+					e.prevFwd[ed>>6]&(1<<(uint(ed)&63)) != 0 {
 					e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
 					assigned = true
+					break
 				}
 			}
-			if !assigned {
-				for _, ed := range node.Down {
-					si := int32(ed)<<1 | int32(graph.Backward)
-					if e.usedEpoch[si] != ep && !e.down(ed, t) &&
-						e.prevFwd[ed>>6]&(1<<(uint(ed)&63)) != 0 {
-						e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
-						assigned = true
-						break
-					}
-				}
-			}
-			if !assigned {
-				for _, ed := range node.Down {
-					si := int32(ed)<<1 | int32(graph.Backward)
-					if e.usedEpoch[si] != ep && !e.down(ed, t) {
-						e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
-						assigned = true
-						break
-					}
-				}
-			}
-			if !assigned {
-				for _, ed := range node.Up {
-					si := int32(ed)<<1 | int32(graph.Forward)
-					if e.usedEpoch[si] != ep && !e.down(ed, t) {
-						e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
-						assigned = true
-						break
-					}
-				}
-			}
-			if !assigned {
-				if cfg.Faults != nil {
-					// An outage consumed the node's slack: hold in place
-					// for one step, the bufferless model's local escape
-					// hatch under faults.
-					e.stallEpoch[s] = ep
-					res.FaultStalls++
-					continue
-				}
-				return fmt.Errorf("dynamic: step %d: node %d over capacity", t, v)
-			}
-			res.Deflections++
 		}
+		if !assigned {
+			for _, ed := range node.Down {
+				si := int32(ed)<<1 | int32(graph.Backward)
+				if e.usedEpoch[si] != ep && !e.down(ed, t) {
+					e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
+					assigned = true
+					break
+				}
+			}
+		}
+		if !assigned {
+			for _, ed := range node.Up {
+				si := int32(ed)<<1 | int32(graph.Forward)
+				if e.usedEpoch[si] != ep && !e.down(ed, t) {
+					e.usedEpoch[si], e.grantEpoch[s], e.grantSlot[s] = ep, ep, si
+					assigned = true
+					break
+				}
+			}
+		}
+		if !assigned {
+			if cfg.Faults != nil {
+				// An outage consumed the node's slack: hold in place
+				// for one step, the bufferless model's local escape
+				// hatch under faults.
+				e.stallEpoch[s] = ep
+				res.FaultStalls++
+				continue
+			}
+			return fmt.Errorf("dynamic: step %d: node %d over capacity", t, v)
+		}
+		res.Deflections++
 	}
 
-	// Commit: clear occupancy (O(occupied), not O(N)) and re-park every
-	// survivor in live order — the same arrival order the map engine's
-	// append-per-node sweep produced.
+	// Commit: clear occupancy (O(live), not O(N): every occupied node
+	// holds a live packet) and re-park every survivor in live order —
+	// the same arrival order the map engine's append-per-node sweep
+	// produced.
 	survivors := e.live[:0]
-	for _, vi := range e.occupied {
-		e.atN[vi] = 0
+	for _, s := range e.live {
+		e.atN[e.pCur[s]] = 0
 	}
-	e.occupied = e.occupied[:0]
 	for _, s := range e.live {
 		if e.stallEpoch[s] == ep {
 			survivors = append(survivors, s)

@@ -313,3 +313,97 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		}
 	}
 }
+
+// snapshotAfter runs a fresh butterfly(3) engine for n steps and
+// returns its snapshot.
+func snapshotAfter(t *testing.T, g *graph.Leveled, n int) *persist.EngineState {
+	t.Helper()
+	e, err := NewEngine(g, Config{Lambda: 0.3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestRestoreRejectsOversizedReservoir: a snapshot retaining more
+// latency samples than the reservoir cap used to be restored whole and
+// kept for good, so a hostile snapshot could pin unbounded memory.
+func TestRestoreRejectsOversizedReservoir(t *testing.T) {
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{latReservoirCap, latReservoirCap + 1} {
+		st := snapshotAfter(t, g, 20)
+		st.LatSamples = make([]float64, n)
+		for i := range st.LatSamples {
+			st.LatSamples[i] = 2
+		}
+		st.LatCount, st.LatSum = n, float64(2*n)
+		e, err := Restore(g, st, Hooks{})
+		if fits := n <= latReservoirCap; (err == nil) != fits {
+			t.Fatalf("%d samples: restore err = %v, want accepted = %v", n, err, fits)
+		}
+		if err == nil && cap(e.lat.samples) != latReservoirCap {
+			t.Fatalf("restored reservoir capacity %d, want %d", cap(e.lat.samples), latReservoirCap)
+		}
+	}
+}
+
+// TestStepCounterBound: a snapshot whose step sat near MaxInt64 used to
+// restore, after which Step wrapped the counter and every later
+// Snapshot failed self-validation. Now such a state is refused, and an
+// engine at the counter bound refuses to step rather than overflow —
+// its snapshots stay valid.
+func TestStepCounterBound(t *testing.T) {
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snapshotAfter(t, g, 20)
+	st.Step = math.MaxInt64 - 1
+	if _, err := Restore(g, st, Hooks{}); err == nil {
+		t.Fatal("snapshot with step near MaxInt64 restored")
+	}
+
+	st = snapshotAfter(t, g, 20)
+	st.Step = persist.MaxEngineCounter - 2
+	e, err := Restore(g, st, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatalf("step %d below the bound: %v", i, err)
+		}
+	}
+	if err := e.Step(); err == nil {
+		t.Fatal("stepped past the counter bound")
+	}
+	if e.StepCount() != persist.MaxEngineCounter {
+		t.Fatalf("step count %d, want the bound %d", e.StepCount(), persist.MaxEngineCounter)
+	}
+	if _, err := e.Snapshot(); err != nil {
+		t.Fatalf("snapshot at the bound: %v", err)
+	}
+
+	// Packet ids: a step may inject one packet per node, so the engine
+	// stops while a full step of ids still fits under the bound.
+	st = snapshotAfter(t, g, 20)
+	st.NextID = persist.MaxEngineCounter - g.NumNodes() + 1
+	if e, err = Restore(g, st, Hooks{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(); err == nil {
+		t.Fatal("stepped with too few packet ids left")
+	}
+}

@@ -1,13 +1,17 @@
 package dynamic
 
-import "hotpotato/internal/stats"
+import (
+	"hotpotato/internal/persist"
+	"hotpotato/internal/stats"
+)
 
 // latReservoirCap bounds the retained latency sample. 4096 samples give
 // sub-percent quantile error at p99 while keeping snapshots O(1): before
 // this bound the engine appended every post-warmup delivery latency
 // forever, so a long -serve process grew without limit and every
 // snapshot shipped the full history (the v1→v2 persist format bump).
-const latReservoirCap = 4096
+// Snapshot validation refuses a larger reservoir.
+const latReservoirCap = persist.MaxLatSamples
 
 // latSeedMix decorrelates the reservoir's RNG stream from the engine's
 // trajectory stream when both derive from Config.Seed.

@@ -119,35 +119,12 @@ func (s *PathSet) CheckOnePacketPerSource() error {
 
 // RandomForwardPath samples a forward path from src to dst. Sampling is
 // proportional to the number of forward paths through each next hop
-// (computed by counting with saturation), which is exactly uniform over
-// all forward src->dst paths whenever counts do not saturate. Returns
-// an error if dst is not forward-reachable from src.
+// (computed by counting with saturation at 2^40), which is exactly
+// uniform over all forward src->dst paths whenever counts do not
+// saturate: one rng.Int63n per hop, over the next hops' summed counts
+// in Up-edge order. Returns an error if dst is not forward-reachable
+// from src.
 func RandomForwardPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID) (graph.Path, error) {
-	var s ForwardPathSampler
-	ls, ld := g.Node(src).Level, g.Node(dst).Level
-	var hint int
-	if ld > ls {
-		hint = ld - ls
-	}
-	return s.AppendPath(g, rng, src, dst, make(graph.Path, 0, hint))
-}
-
-// ForwardPathSampler draws random forward paths with the exact
-// distribution (and RNG consumption) of RandomForwardPath, but reuses
-// one path-count scratch buffer across draws so a warm sampler
-// allocates nothing. The open-system engine keeps one per engine: path
-// draws are on its injection hot path.
-//
-// Not safe for concurrent use; each goroutine needs its own sampler.
-type ForwardPathSampler struct {
-	cnt []int64
-}
-
-// AppendPath appends a sampled src→dst forward path to buf and returns
-// the extended slice. The draw sequence is identical to
-// RandomForwardPath: one rng.Int63n per hop, weighted by saturating
-// forward-path counts.
-func (s *ForwardPathSampler) AppendPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
 	}
@@ -155,58 +132,12 @@ func (s *ForwardPathSampler) AppendPath(g *graph.Leveled, rng *rand.Rand, src, d
 	if ld <= ls {
 		return nil, fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
 	}
-	s.cnt = CountsTo(g, dst, s.cnt)
-	return AppendPathCounted(g, rng, src, dst, s.cnt, buf)
-}
-
-// CountsTo fills cnt with the saturating forward-path counts to dst —
-// CountForwardPaths(dst, 1<<40) — reusing the provided backing when
-// large enough, and returns the (possibly grown) slice. The table
-// depends only on dst, so callers drawing many paths to the same
-// destination compute it once and sample via AppendPathCounted.
-func CountsTo(g *graph.Leveled, dst graph.NodeID, cnt []int64) []int64 {
-	if len(cnt) < g.NumNodes() {
-		cnt = make([]int64, g.NumNodes())
-	} else {
-		cnt = cnt[:g.NumNodes()]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-	}
-	const satCap = 1 << 40
-	cnt[dst] = 1
-	for l := g.Node(dst).Level - 1; l >= 0; l-- {
-		for _, id := range g.Level(l) {
-			var c int64
-			for _, e := range g.Node(id).Up {
-				c += cnt[g.Edge(e).To]
-				if c >= satCap {
-					c = satCap
-					break
-				}
-			}
-			cnt[id] = c
-		}
-	}
-	return cnt
-}
-
-// AppendPathCounted is AppendPath given a precomputed CountsTo(g, dst)
-// table: validation, errors and RNG consumption (one rng.Int63n per
-// hop) are identical, but no counting pass runs.
-func AppendPathCounted(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, cnt []int64, buf graph.Path) (graph.Path, error) {
-	if src == dst {
-		return nil, fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
-	}
-	ls, ld := g.Node(src).Level, g.Node(dst).Level
-	if ld <= ls {
-		return nil, fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
-	}
+	cnt := g.CountForwardPaths(dst, 1<<40)
 	if cnt[src] == 0 {
 		return nil, fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
 	}
-	cur := src
-	for cur != dst {
+	p := make(graph.Path, 0, ld-ls)
+	for cur := src; cur != dst; {
 		var total int64
 		for _, e := range g.Node(cur).Up {
 			total += cnt[g.Edge(e).To]
@@ -215,14 +146,14 @@ func AppendPathCounted(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, 
 		for _, e := range g.Node(cur).Up {
 			c := cnt[g.Edge(e).To]
 			if pick < c {
-				buf = append(buf, e)
+				p = append(p, e)
 				cur = g.Edge(e).To
 				break
 			}
 			pick -= c
 		}
 	}
-	return buf, nil
+	return p, nil
 }
 
 // GreedyMinCongestionPath builds a forward path from src to dst that at

@@ -23,6 +23,18 @@ import (
 // long-running serve mode and is refused by v2 readers.
 const EngineStateVersion = 2
 
+// MaxLatSamples is the latency reservoir's capacity: a state retaining
+// more samples than an engine ever keeps is refused, so a restored
+// engine's memory stays bounded whoever wrote the snapshot.
+const MaxLatSamples = 4096
+
+// MaxEngineCounter bounds an engine state's step and next_id. At 2^53
+// both stay exact in any JSON reader (float64 mantissa), and the int64
+// headroom above it is far more than any run can consume: the engine
+// refuses to step past the bound (see dynamic.Engine.Step) instead of
+// wrapping a counter and failing every later snapshot.
+const MaxEngineCounter = 1 << 53
+
 // EngineStateKind tags an engine state object.
 const EngineStateKind = "engine-state"
 
@@ -207,6 +219,9 @@ func (s *EngineState) Validate() error {
 	if s.Step < 0 || s.NextID < 0 {
 		return fmt.Errorf("persist: engine state step %d / next_id %d negative", s.Step, s.NextID)
 	}
+	if s.Step > MaxEngineCounter || s.NextID > MaxEngineCounter {
+		return fmt.Errorf("persist: engine state step %d / next_id %d above the %d counter bound", s.Step, s.NextID, MaxEngineCounter)
+	}
 	for _, c := range []struct {
 		name string
 		v    int
@@ -231,6 +246,9 @@ func (s *EngineState) Validate() error {
 	if len(s.Packets) != s.Admitted-s.Delivered {
 		return fmt.Errorf("persist: engine state holds %d packets but admitted-delivered = %d",
 			len(s.Packets), s.Admitted-s.Delivered)
+	}
+	if len(s.LatSamples) > MaxLatSamples {
+		return fmt.Errorf("persist: engine state retains %d latency samples, above the reservoir cap %d", len(s.LatSamples), MaxLatSamples)
 	}
 	for _, x := range s.LatSamples {
 		if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {

@@ -59,6 +59,15 @@ func TestEngineStateValidate(t *testing.T) {
 		"nan latency":         func(s *EngineState) { s.LatSamples[0] = math.NaN() },
 		"negative latency":    func(s *EngineState) { s.LatSamples[0] = -2 },
 		"lat count < samples": func(s *EngineState) { s.LatCount = 1 },
+		"lat samples over cap": func(s *EngineState) {
+			s.LatSamples = make([]float64, MaxLatSamples+1)
+			for i := range s.LatSamples {
+				s.LatSamples[i] = 1
+			}
+			s.LatCount, s.LatSum = len(s.LatSamples), float64(len(s.LatSamples))
+		},
+		"step past bound":     func(s *EngineState) { s.Step = math.MaxInt64 - 1 },
+		"next_id past bound":  func(s *EngineState) { s.NextID = MaxEngineCounter + 1 },
 		"nan lat sum":         func(s *EngineState) { s.LatSum = math.NaN() },
 		"inf window":          func(s *EngineState) { s.Windows[0].MeanLatency = math.Inf(1) },
 		"nan accumulator":     func(s *EngineState) { s.WLatSum = math.NaN() },

@@ -410,6 +410,11 @@ func (s *Service) Advance(topo string, n int) (int, error) {
 	var step int
 	var stepErr error
 	err := tp.do(func() {
+		step = tp.eng.StepCount()
+		if n > persist.MaxEngineCounter-step {
+			stepErr = fmt.Errorf("service: advance %d from step %d would pass the step bound %d", n, step, persist.MaxEngineCounter)
+			return
+		}
 		for i := 0; i < n; i++ {
 			if stepErr = tp.eng.Step(); stepErr != nil {
 				break

@@ -332,3 +332,46 @@ func TestStoppedTopology(t *testing.T) {
 		t.Fatal("stats on stopped topology hung")
 	}
 }
+
+// TestAdvanceRefusesCounterOverflow: a restored topology near the step
+// bound used to step on until the counter wrapped, after which every
+// Snapshot (and so the SIGTERM drain) failed. Advance now refuses an n
+// that would pass the bound, without stepping, and snapshots stay
+// writable.
+func TestAdvanceRefusesCounterOverflow(t *testing.T) {
+	s, err := New([]TopologyConfig{manualCfg(t, "bfly")}, Options{Now: newFakeClock().now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitBatch("bfly", BatchRequest{Tenant: "gold", Random: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Advance("bfly", 3); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	start := persist.MaxEngineCounter - 5
+	snap.Topologies[0].Engine.Step = start
+	r, err := Restore(snap, Options{Now: newFakeClock().now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if step, err := r.Advance("bfly", 6); err == nil || step != start {
+		t.Fatalf("Advance past the bound: step %d, err %v; want refused at %d", step, err, start)
+	}
+	if step, err := r.Advance("bfly", 5); err != nil || step != persist.MaxEngineCounter {
+		t.Fatalf("Advance to the bound: step %d, err %v", step, err)
+	}
+	if _, err := r.Advance("bfly", 1); err == nil {
+		t.Fatal("Advance at the bound accepted")
+	}
+	if _, err := r.Snapshot(); err != nil {
+		t.Fatalf("snapshot at the bound: %v", err)
+	}
+}

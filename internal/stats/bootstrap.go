@@ -51,18 +51,24 @@ func BootstrapQuantileCI(xs []float64, q float64, iters int, seed uint64, conf f
 	if iters < 1 {
 		iters = 1000
 	}
+	// A resample only matters through two of its order statistics. As
+	// sorted is ascending, the resample sorted by value is the drawn
+	// indices sorted, so counting the draws per index (O(n)) finds both
+	// without sorting the resample (O(n log n)).
 	state := seed
 	n := len(sorted)
-	resample := make([]float64, n)
+	lo, hi, frac := quantileRanks(n, q)
+	hits := make([]int32, n)
 	estimates := make([]float64, iters)
 	for b := 0; b < iters; b++ {
+		clear(hits)
 		for i := 0; i < n; i++ {
 			// Rejection-free bounded draw: the modulo bias over a 64-bit
 			// stream is far below any quantile resolution at realistic n.
-			resample[i] = sorted[splitmix64(&state)%uint64(n)]
+			hits[splitmix64(&state)%uint64(n)]++
 		}
-		sort.Float64s(resample)
-		estimates[b] = Quantile(resample, q)
+		xlo, xhi := orderStats(sorted, hits, lo, hi)
+		estimates[b] = interpolate(xlo, xhi, frac)
 	}
 	sort.Float64s(estimates)
 	alpha := (1 - conf) / 2
@@ -72,6 +78,24 @@ func BootstrapQuantileCI(xs []float64, q float64, iters int, seed uint64, conf f
 		Lo:       Quantile(estimates, alpha),
 		Hi:       Quantile(estimates, 1-alpha),
 	}
+}
+
+// orderStats returns the lo-th and hi-th smallest values (0-based,
+// lo <= hi) of the multiset holding hits[j] copies of sorted[j].
+func orderStats(sorted []float64, hits []int32, lo, hi int) (xlo, xhi float64) {
+	seen, j := 0, 0
+	for ; ; j++ {
+		seen += int(hits[j])
+		if seen > lo {
+			break
+		}
+	}
+	xlo = sorted[j]
+	for seen <= hi {
+		j++
+		seen += int(hits[j])
+	}
+	return xlo, sorted[j]
 }
 
 // PolylogFit is the least-squares fit of measured delivery times

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -22,6 +23,60 @@ func TestBootstrapQuantileCIDeterminism(t *testing.T) {
 	// The input slice must not be mutated (the engine reuses trial slices).
 	if !reflect.DeepEqual(xs, []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9}) {
 		t.Fatalf("input mutated: %v", xs)
+	}
+}
+
+// sortedBootstrapQuantileCI is the resample-and-sort formulation the
+// counting bootstrap replaced, kept as its reference.
+func sortedBootstrapQuantileCI(xs []float64, q float64, iters int, seed uint64, conf float64) QuantileCI {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	est := Quantile(sorted, q)
+	if len(xs) < 2 {
+		return QuantileCI{Q: q, Estimate: est, Lo: est, Hi: est}
+	}
+	state := seed
+	n := len(sorted)
+	resample := make([]float64, n)
+	estimates := make([]float64, iters)
+	for b := 0; b < iters; b++ {
+		for i := 0; i < n; i++ {
+			resample[i] = sorted[splitmix64(&state)%uint64(n)]
+		}
+		sort.Float64s(resample)
+		estimates[b] = Quantile(resample, q)
+	}
+	sort.Float64s(estimates)
+	alpha := (1 - conf) / 2
+	return QuantileCI{Q: q, Estimate: est, Lo: Quantile(estimates, alpha), Hi: Quantile(estimates, 1-alpha)}
+}
+
+// TestBootstrapQuantileCIMatchesSortedResamples pins the counting
+// bootstrap bit for bit to sorting every resample, over 300 seeds,
+// continuous and heavily tied samples, and quantiles including both
+// ends.
+func TestBootstrapQuantileCIMatchesSortedResamples(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		state := seed * 0x9e37
+		n := 2 + int(splitmix64(&state)%60)
+		xs := make([]float64, n)
+		for i := range xs {
+			r := splitmix64(&state)
+			if seed%2 == 0 {
+				xs[i] = float64(r%5) * 1.5 // ties
+			} else {
+				xs[i] = float64(r>>11) / (1 << 53) * 100
+			}
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+			got := BootstrapQuantileCI(xs, q, 200, seed, 0.95)
+			want := sortedBootstrapQuantileCI(xs, q, 200, seed, 0.95)
+			if math.Float64bits(got.Lo) != math.Float64bits(want.Lo) ||
+				math.Float64bits(got.Hi) != math.Float64bits(want.Hi) ||
+				math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) {
+				t.Fatalf("seed %d n %d q %g: %+v, want %+v", seed, n, q, got, want)
+			}
+		}
 	}
 }
 

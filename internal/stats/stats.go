@@ -69,20 +69,31 @@ func Quantile(sorted []float64, q float64) float64 {
 				i, sorted[i], i-1, sorted[i-1]))
 		}
 	}
+	lo, hi, frac := quantileRanks(len(sorted), q)
+	return interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// quantileRanks locates the q-quantile of n sorted values: the order
+// statistics lo and hi it interpolates between, and the weight of hi
+// (0 exactly when lo == hi).
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
 	if q <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return n - 1, n - 1, 0
 	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	pos := q * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// interpolate blends order statistics xlo and xhi as Quantile does.
+func interpolate(xlo, xhi, frac float64) float64 {
+	if frac == 0 {
+		return xlo
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return xlo*(1-frac) + xhi*frac
 }
 
 // QuantileUnsorted returns the q-quantile of a raw sample: it sorts a
