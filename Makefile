@@ -35,11 +35,14 @@ selfcheck:
 cover:
 	$(GO) test -cover ./...
 
-# Brief fuzzing session over the input parsers and the levelizer.
+# Brief fuzzing session over every fuzz target CI's fuzz-smoke job runs:
+# the input parsers, service snapshot restore and the levelizer.
 fuzz:
-	$(GO) test -fuzz FuzzReadProblem -fuzztime 30s ./internal/persist/
-	$(GO) test -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
-	$(GO) test -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
+	$(GO) test -run xxx -fuzz FuzzReadProblem -fuzztime 30s ./internal/persist/
+	$(GO) test -run xxx -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
+	$(GO) test -run xxx -fuzz FuzzReadCampaignCheckpoint -fuzztime 30s ./internal/persist/
+	$(GO) test -run xxx -fuzz FuzzServiceRestoreStep -fuzztime 30s ./internal/service/
+	$(GO) test -run xxx -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
 
 clean:
 	rm -rf figs

@@ -146,7 +146,7 @@ type Report struct {
 	// during this run (final minus initial step counter) and
 	// ServiceStepsPerSec that count over the wall clock — the
 	// service-side stepping rate, the end-to-end counterpart of the
-	// engine's ns/step in BENCH_dynamic.json.
+	// engine's ns/step in the dynamic rows of BENCH_layers.json.
 	ServiceSteps       int                   `json:"service_steps"`
 	ServiceStepsPerSec float64               `json:"service_steps_per_sec"`
 	ReqP50             stats.QuantileCI      `json:"req_latency_p50_secs"`

@@ -164,11 +164,7 @@ func main() {
 	var server *http.Server
 	if *httpAddr != "" {
 		cfg.OnWindow = liveVars()
-		server = &http.Server{
-			Addr:              *httpAddr,
-			Handler:           http.DefaultServeMux,
-			ReadHeaderTimeout: 5 * time.Second,
-		}
+		server = newHTTPServer(*httpAddr, http.DefaultServeMux)
 		go func() {
 			if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "openload: http:", err)

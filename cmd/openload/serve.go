@@ -68,11 +68,7 @@ func runServe(sc serveConfig) {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", svc.Handler())
 	mux.Handle("/debug/", http.DefaultServeMux) // expvar + pprof
-	server := &http.Server{
-		Addr:              sc.addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	server := newHTTPServer(sc.addr, mux)
 	go func() {
 		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "openload: http:", err)
@@ -136,4 +132,27 @@ func writeSnapshotFile(svc *service.Service, path string) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// HTTP server timeouts. Reads and idle keep-alive connections are
+// bounded so a slow or silent client cannot hold a connection (and its
+// goroutine) forever; the write bound leaves room for the default 30 s
+// /debug/pprof/profile capture.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 90 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the server both modes listen with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

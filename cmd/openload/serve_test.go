@@ -173,3 +173,29 @@ func postOK(t *testing.T, url, body string) {
 		t.Fatalf("POST %s: %s", url, resp.Status)
 	}
 }
+
+// TestHTTPServerTimeouts: both listening modes share one server shape
+// with every timeout set, and the write bound leaves room for a
+// default 30 s /debug/pprof/profile capture.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NewServeMux())
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Errorf("server addr %q / handler %v not wired", srv.Addr, srv.Handler)
+	}
+	for name, got := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if got <= 0 {
+			t.Errorf("%s unset", name)
+		}
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("header timeout %v above the whole-request timeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	if srv.WriteTimeout <= 30*time.Second {
+		t.Errorf("write timeout %v cuts off a default 30 s CPU profile", srv.WriteTimeout)
+	}
+}

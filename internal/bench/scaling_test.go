@@ -18,7 +18,7 @@ import (
 // container limit or the test runner — must not silently turn the gate
 // into a skip) and only skips when the hardware truly has fewer than 4
 // CPUs, where workers time-slice and no speedup is possible (the
-// recorded BENCH_engine.json rows still document that honestly). Also
+// recorded BENCH_layers.json rows still document that honestly). Also
 // skipped under -short.
 func TestParallelStepScaling(t *testing.T) {
 	if testing.Short() {
@@ -76,8 +76,8 @@ func TestParallelStepScaling(t *testing.T) {
 	}
 }
 
-// TestParallelEfficiencyRecorded runs the recorded workers sweep (the
-// exact code path behind -bench-parallel and the committed artifact)
+// TestParallelEfficiencyRecorded runs the recorded engine layer (the
+// exact code path behind -bench and its workers sweep)
 // and asserts the workers=4 row carries a populated parallel_efficiency
 // of at least 0.5 — i.e. ≥2x steady speedup over workers=1. Like the
 // scaling gate above, it raises GOMAXPROCS to NumCPU first and skips
@@ -94,19 +94,17 @@ func TestParallelEfficiencyRecorded(t *testing.T) {
 		t.Logf("raised GOMAXPROCS %d -> %d for the efficiency gate", old, n)
 	}
 
-	b, err := RunEngineBenchParallel(1)
-	if err != nil {
+	b := newLayerBench(1)
+	if err := recordEngine(b); err != nil {
 		t.Fatal(err)
 	}
+	annotateParallelEfficiency(b)
 	found := false
 	for _, r := range b.Rows {
 		if r.Workers != 4 {
 			continue
 		}
 		found = true
-		if r.InvalidParallel {
-			t.Fatalf("workers=4 row invalid despite GOMAXPROCS=%d", b.GOMAXPROCS)
-		}
 		if r.SpeedupVs1 <= 0 || r.ParallelEfficiency <= 0 {
 			t.Fatalf("workers=4 row missing speedup annotation: %+v", r)
 		}

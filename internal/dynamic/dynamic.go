@@ -42,7 +42,7 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry, in steps
 	// (<= 0 defaults to 1). Attempt k waits min(BaseDelay<<(k-1),
-	// MaxDelay) steps.
+	// MaxDelay) steps. Both delays are at most persist.MaxRetryDelay.
 	BaseDelay int
 	// MaxDelay caps the exponential backoff (<= 0 defaults to 64).
 	MaxDelay int

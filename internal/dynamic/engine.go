@@ -176,6 +176,9 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	if cfg.Retry.MaxAttempts < 0 || cfg.Retry.BaseDelay < 0 || cfg.Retry.MaxDelay < 0 {
 		return nil, fmt.Errorf("dynamic: negative retry policy field: %+v", cfg.Retry)
 	}
+	if cfg.Retry.BaseDelay > persist.MaxRetryDelay || cfg.Retry.MaxDelay > persist.MaxRetryDelay {
+		return nil, fmt.Errorf("dynamic: retry delays %d/%d above the %d-step bound", cfg.Retry.BaseDelay, cfg.Retry.MaxDelay, persist.MaxRetryDelay)
+	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4096
 	}
@@ -333,12 +336,12 @@ func (e *Engine) SubmitPath(tenant string, path []graph.EdgeID) error {
 		if int(ed) < 0 || int(ed) >= e.g.NumEdges() {
 			return fmt.Errorf("dynamic: submit: path edge %d out of range", i)
 		}
-		if i > 0 && e.g.Edge(path[i]).From != e.g.Edge(path[i-1]).To {
-			return fmt.Errorf("dynamic: submit: path not contiguous at hop %d", i)
-		}
 	}
 	src := e.g.Edge(path[0]).From
 	dst := e.g.Edge(path[len(path)-1]).To
+	if err := checkForwardPath(e.g, src, dst, path); err != nil {
+		return fmt.Errorf("dynamic: submit: %w", err)
+	}
 	e.offerPending(pendingEntry{
 		tenant: e.internTenant(tenant), src: src, dst: dst,
 		path: append(e.borrowQBuf(), path...),

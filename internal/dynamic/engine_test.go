@@ -407,3 +407,117 @@ func TestStepCounterBound(t *testing.T) {
 		t.Fatal("stepped with too few packet ids left")
 	}
 }
+
+// queuedSnapshot snapshots a butterfly(3) engine holding both retry
+// and pending entries: three packets from one source (one injects, two
+// back off), then two more submissions left pending.
+func queuedSnapshot(t *testing.T) (*graph.Leveled, *persist.EngineState) {
+	t.Helper()
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, Config{Seed: 5, Retry: RetryPolicy{MaxAttempts: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := g.Level(0)[0], g.Level(g.Depth())[0]
+	for i := 0; i < 3; i++ {
+		if err := e.Submit("t", src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit("t", g.Level(0)[1], dst); err != nil {
+		t.Fatal(err)
+	}
+	path, err := e.drawPath(g.Level(0)[2], dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubmitPath("t", path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.RetryQ) != 2 || len(st.Pending) != 2 || len(st.Pending[1].Path) == 0 {
+		t.Fatalf("want 2 retry and 2 pending entries (one with a path), got %d/%d", len(st.RetryQ), len(st.Pending))
+	}
+	return g, st
+}
+
+// TestRestoreRejectsUnroutableQueues: a restored pending or retry entry
+// must be routable, as Submit and SubmitPath guarantee for live ones. A
+// path-less pending entry whose destination is not forward-reachable
+// would make every later Step fail drawing its path.
+func TestRestoreRejectsUnroutableQueues(t *testing.T) {
+	g, good := queuedSnapshot(t)
+	e, err := Restore(g, good, Hooks{})
+	if err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	for i := 0; e.HasWork(); i++ {
+		if i > 1000 {
+			t.Fatal("pristine restore never drained")
+		}
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	lvl1 := g.Level(1)
+	cases := map[string]func(*persist.EngineState){
+		// Same level: no forward path, as in "dst level 1 not above src
+		// level 1".
+		"pending unreachable": func(s *persist.EngineState) {
+			s.Pending[0].Src, s.Pending[0].Dst = int32(lvl1[0]), int32(lvl1[1])
+		},
+		"pending src == dst":          func(s *persist.EngineState) { s.Pending[0].Dst = s.Pending[0].Src },
+		"pending path from elsewhere": func(s *persist.EngineState) { s.Pending[1].Src = s.Pending[0].Src },
+		"pending path to elsewhere":   func(s *persist.EngineState) { s.Pending[1].Dst = int32(lvl1[0]) },
+		"pending path broken": func(s *persist.EngineState) {
+			p := s.Pending[1].Path
+			p[0], p[len(p)-1] = p[len(p)-1], p[0]
+		},
+		"retry path from elsewhere": func(s *persist.EngineState) { s.RetryQ[0].Src = s.Pending[0].Src },
+	}
+	for name, corrupt := range cases {
+		_, st := queuedSnapshot(t)
+		corrupt(st)
+		if _, err := Restore(g, st, Hooks{}); err == nil {
+			t.Errorf("%s: unroutable entry restored", name)
+		}
+	}
+}
+
+// TestRetryDelaysBounded: backoff delays above persist.MaxRetryDelay
+// are rejected at construction (and so at restore); unbounded, they
+// wrap the retry due step t+backoff negative.
+func TestRetryDelaysBounded(t *testing.T) {
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rp := range []RetryPolicy{
+		{MaxAttempts: 4, MaxDelay: math.MaxInt},
+		{MaxAttempts: 4, BaseDelay: math.MaxInt / 2},
+		{MaxAttempts: 4, BaseDelay: persist.MaxRetryDelay + 1, MaxDelay: 8},
+	} {
+		if _, err := NewEngine(g, Config{Seed: 1, Retry: rp}); err == nil {
+			t.Errorf("policy %+v accepted", rp)
+		}
+	}
+	if _, err := NewEngine(g, Config{Seed: 1, Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: persist.MaxRetryDelay, MaxDelay: persist.MaxRetryDelay}}); err != nil {
+		t.Errorf("delays at the bound rejected: %v", err)
+	}
+
+	_, st := queuedSnapshot(t)
+	st.Retry.MaxDelay = math.MaxInt
+	if _, err := Restore(g, st, Hooks{}); err == nil {
+		t.Error("snapshot with an unbounded retry delay restored")
+	}
+}

@@ -252,6 +252,9 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		if int(rs.Src) >= g.NumNodes() || rs.Src < 0 || int(rs.Dst) >= g.NumNodes() || rs.Dst < 0 {
 			return nil, fmt.Errorf("dynamic: restore: retry entry %d references unknown node", i)
 		}
+		if err := checkForwardPath(g, graph.NodeID(rs.Src), graph.NodeID(rs.Dst), path); err != nil {
+			return nil, fmt.Errorf("dynamic: restore: retry entry %d: %w", i, err)
+		}
 		e.retryQ = append(e.retryQ, retryEntry{
 			tenant: e.internTenant(rs.Tenant), src: graph.NodeID(rs.Src), dst: graph.NodeID(rs.Dst),
 			path: path, attempts: rs.Attempts, next: rs.Next,
@@ -269,7 +272,14 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 				if err != nil {
 					return nil, fmt.Errorf("dynamic: restore: pending entry %d: %w", i, err)
 				}
+				if err := checkForwardPath(g, en.src, en.dst, path); err != nil {
+					return nil, fmt.Errorf("dynamic: restore: pending entry %d: %w", i, err)
+				}
 				en.path = path
+			} else if !e.cone.reaches(en.src, en.dst) {
+				// Its path is drawn at injection, which fails for a pair
+				// Submit would have rejected.
+				return nil, fmt.Errorf("dynamic: restore: pending entry %d: node %d cannot reach %d forward", i, ps.Src, ps.Dst)
 			}
 		}
 		e.pending = append(e.pending, en)
@@ -300,6 +310,20 @@ func edgesToWire(path []graph.EdgeID) []int32 {
 		out[i] = int32(ed)
 	}
 	return out
+}
+
+// checkForwardPath accepts only what Submit, SubmitPath and path draws
+// queue: a contiguous forward edge chain from src to dst.
+func checkForwardPath(g *graph.Leveled, src, dst graph.NodeID, path []graph.EdgeID) error {
+	if len(path) == 0 || g.Edge(path[0]).From != src || g.Edge(path[len(path)-1]).To != dst {
+		return fmt.Errorf("path does not lead from node %d to %d", src, dst)
+	}
+	for i := 1; i < len(path); i++ {
+		if g.Edge(path[i]).From != g.Edge(path[i-1]).To {
+			return fmt.Errorf("path not contiguous at hop %d", i)
+		}
+	}
+	return nil
 }
 
 func wireToEdges(g *graph.Leveled, wire []int32) ([]graph.EdgeID, error) {

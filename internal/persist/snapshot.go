@@ -35,6 +35,12 @@ const MaxLatSamples = 4096
 // wrapping a counter and failing every later snapshot.
 const MaxEngineCounter = 1 << 53
 
+// MaxRetryDelay bounds a retry policy's base and maximum backoff, in
+// steps. With it, a backoff never overflows while doubling, a retry's
+// due step t+backoff stays far from int overflow, and a restored retry
+// entry can be due at most this many steps past the snapshot's step.
+const MaxRetryDelay = 1 << 20
+
 // EngineStateKind tags an engine state object.
 const EngineStateKind = "engine-state"
 
@@ -243,6 +249,10 @@ func (s *EngineState) Validate() error {
 	if s.Delivered > s.Admitted {
 		return fmt.Errorf("persist: engine state delivered %d > admitted %d", s.Delivered, s.Admitted)
 	}
+	// Every queued entry is offered already and ends admitted or dropped.
+	if queued := len(s.Pending) + len(s.RetryQ); s.Offered-s.Admitted-s.Dropped < queued {
+		return fmt.Errorf("persist: engine state offered %d < admitted %d + dropped %d + %d queued", s.Offered, s.Admitted, s.Dropped, queued)
+	}
 	if len(s.Packets) != s.Admitted-s.Delivered {
 		return fmt.Errorf("persist: engine state holds %d packets but admitted-delivered = %d",
 			len(s.Packets), s.Admitted-s.Delivered)
@@ -284,6 +294,11 @@ func (s *EngineState) Validate() error {
 		if p.ArrivalDir != 0 && p.ArrivalDir != 1 {
 			return fmt.Errorf("persist: engine state packet %d arrival dir %d", p.ID, p.ArrivalDir)
 		}
+		// A packet injected at step t is frozen at step t+1 or later, so
+		// every latency it can still record is positive.
+		if p.Inject < 0 || p.Inject > s.Step {
+			return fmt.Errorf("persist: engine state packet %d injected at step %d, outside [0, %d]", p.ID, p.Inject, s.Step)
+		}
 	}
 	fwd := make(map[int32]bool, len(s.PrevForward))
 	for i, ed := range s.PrevForward {
@@ -302,21 +317,45 @@ func (s *EngineState) Validate() error {
 		if len(r.Path) == 0 {
 			return fmt.Errorf("persist: engine state retry entry %d with empty path", i)
 		}
+		// An entry is scheduled at some step t < Step, MaxRetryDelay at
+		// most ahead.
+		if r.Next < 0 || r.Next > s.Step+MaxRetryDelay {
+			return fmt.Errorf("persist: engine state retry entry %d due at step %d, outside [0, step %d + %d]", i, r.Next, s.Step, MaxRetryDelay)
+		}
 	}
 	for i, p := range s.Pending {
 		if p.Random && (p.Src != -1 || len(p.Path) > 0) {
 			return fmt.Errorf("persist: engine state pending entry %d random with explicit src/path", i)
 		}
 	}
+	// A tenant's in-flight packets are admitted and not yet delivered;
+	// its queued entries are submitted and not yet admitted or dropped.
+	live, queued := make(map[string]int), make(map[string]int)
+	for _, p := range s.Packets {
+		live[p.Tenant]++
+	}
+	for _, r := range s.RetryQ {
+		queued[r.Tenant]++
+	}
+	for _, p := range s.Pending {
+		queued[p.Tenant]++
+	}
+	for _, m := range []map[string]int{live, queued} {
+		for name := range m {
+			if _, ok := s.Tenants[name]; name != "" && !ok {
+				return fmt.Errorf("persist: engine state tenant %q holds packets but has no ledger", name)
+			}
+		}
+	}
 	for name, tt := range s.Tenants {
 		if tt.Submitted < 0 || tt.Admitted < 0 || tt.Retried < 0 || tt.Dropped < 0 || tt.Delivered < 0 {
 			return fmt.Errorf("persist: engine state tenant %q with negative totals", name)
 		}
-		if tt.Admitted > tt.Submitted {
-			return fmt.Errorf("persist: engine state tenant %q admitted %d > submitted %d", name, tt.Admitted, tt.Submitted)
+		if tt.Admitted > tt.Submitted || tt.Submitted-tt.Admitted-tt.Dropped < queued[name] {
+			return fmt.Errorf("persist: engine state tenant %q submitted %d < admitted %d + dropped %d + %d queued", name, tt.Submitted, tt.Admitted, tt.Dropped, queued[name])
 		}
-		if tt.Delivered > tt.Admitted {
-			return fmt.Errorf("persist: engine state tenant %q delivered %d > admitted %d", name, tt.Delivered, tt.Admitted)
+		if tt.Admitted-tt.Delivered < live[name] {
+			return fmt.Errorf("persist: engine state tenant %q admitted %d < delivered %d + %d in flight", name, tt.Admitted, tt.Delivered, live[name])
 		}
 	}
 	return nil

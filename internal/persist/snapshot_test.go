@@ -18,7 +18,7 @@ func validEngineState() EngineState {
 		Lambda:  0.3, Steps: 100, Warmup: 10, Seed: 7, MaxInFlight: 64, Window: 25,
 		Retry: RetryPolicyState{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 8},
 		Step:  40, RNG: 0xdeadbeef, NextID: 12,
-		Offered: 12, Admitted: 10, Delivered: 9, Retried: 2, Dropped: 1,
+		Offered: 13, Admitted: 10, Delivered: 9, Retried: 2, Dropped: 1,
 		FaultBlocked: 3, FaultStalls: 1, Deflections: 5, PeakInFlight: 4,
 		InFlightSum: 30, InFlightSamples: 30,
 		LatCount: 3, LatSum: 14, LatSamples: []float64{3, 4, 7}, LatRNG: 0x9a,
@@ -30,7 +30,8 @@ func validEngineState() EngineState {
 		Pending:     []PendingState{{Tenant: "free", Random: true, Src: -1, Dst: -1}},
 		PrevForward: []int32{2, 7},
 		Tenants: map[string]TenantTotals{
-			"gold": {Submitted: 6, Admitted: 5, Retried: 2, Dropped: 1, Delivered: 4},
+			"gold": {Submitted: 7, Admitted: 5, Retried: 2, Dropped: 1, Delivered: 4},
+			"free": {Submitted: 1},
 		},
 	}
 }
@@ -66,20 +67,32 @@ func TestEngineStateValidate(t *testing.T) {
 			}
 			s.LatCount, s.LatSum = len(s.LatSamples), float64(len(s.LatSamples))
 		},
-		"step past bound":     func(s *EngineState) { s.Step = math.MaxInt64 - 1 },
-		"next_id past bound":  func(s *EngineState) { s.NextID = MaxEngineCounter + 1 },
-		"nan lat sum":         func(s *EngineState) { s.LatSum = math.NaN() },
-		"inf window":          func(s *EngineState) { s.Windows[0].MeanLatency = math.Inf(1) },
-		"nan accumulator":     func(s *EngineState) { s.WLatSum = math.NaN() },
-		"packet id >= nextid": func(s *EngineState) { s.Packets[0].ID = s.NextID },
-		"packet empty path":   func(s *EngineState) { s.Packets[0].Path = nil },
-		"packet bad dir":      func(s *EngineState) { s.Packets[0].ArrivalDir = 2 },
-		"prev_forward dup":    func(s *EngineState) { s.PrevForward = []int32{2, 2} },
-		"prev_forward neg":    func(s *EngineState) { s.PrevForward = []int32{-1} },
-		"retry attempts":      func(s *EngineState) { s.RetryQ[0].Attempts = 0 },
-		"retry empty path":    func(s *EngineState) { s.RetryQ[0].Path = nil },
-		"pending random+src":  func(s *EngineState) { s.Pending[0].Src = 3 },
-		"tenant negative":     func(s *EngineState) { s.Tenants["gold"] = TenantTotals{Dropped: -1} },
+		"step past bound":       func(s *EngineState) { s.Step = math.MaxInt64 - 1 },
+		"next_id past bound":    func(s *EngineState) { s.NextID = MaxEngineCounter + 1 },
+		"nan lat sum":           func(s *EngineState) { s.LatSum = math.NaN() },
+		"inf window":            func(s *EngineState) { s.Windows[0].MeanLatency = math.Inf(1) },
+		"nan accumulator":       func(s *EngineState) { s.WLatSum = math.NaN() },
+		"packet id >= nextid":   func(s *EngineState) { s.Packets[0].ID = s.NextID },
+		"packet empty path":     func(s *EngineState) { s.Packets[0].Path = nil },
+		"packet bad dir":        func(s *EngineState) { s.Packets[0].ArrivalDir = 2 },
+		"prev_forward dup":      func(s *EngineState) { s.PrevForward = []int32{2, 2} },
+		"prev_forward neg":      func(s *EngineState) { s.PrevForward = []int32{-1} },
+		"retry attempts":        func(s *EngineState) { s.RetryQ[0].Attempts = 0 },
+		"retry empty path":      func(s *EngineState) { s.RetryQ[0].Path = nil },
+		"retry due past bound":  func(s *EngineState) { s.RetryQ[0].Next = s.Step + MaxRetryDelay + 1 },
+		"retry due negative":    func(s *EngineState) { s.RetryQ[0].Next = -1 },
+		"queued past offered":   func(s *EngineState) { s.Offered-- },
+		"inject after step":     func(s *EngineState) { s.Packets[0].Inject = s.Step + 1 },
+		"inject negative":       func(s *EngineState) { s.Packets[0].Inject = -1 },
+		"tenant without ledger": func(s *EngineState) { delete(s.Tenants, "free") },
+		"tenant queued past submitted": func(s *EngineState) {
+			s.Tenants["gold"] = TenantTotals{Submitted: 6, Admitted: 5, Dropped: 1, Delivered: 4}
+		},
+		"tenant in flight past admitted": func(s *EngineState) {
+			s.Tenants["gold"] = TenantTotals{Submitted: 7, Admitted: 5, Dropped: 1, Delivered: 5}
+		},
+		"pending random+src": func(s *EngineState) { s.Pending[0].Src = 3 },
+		"tenant negative":    func(s *EngineState) { s.Tenants["gold"] = TenantTotals{Dropped: -1} },
 		"tenant admitted > submitted": func(s *EngineState) {
 			s.Tenants["gold"] = TenantTotals{Submitted: 1, Admitted: 2, Delivered: 1}
 		},

@@ -18,7 +18,7 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-func manualCfg(t *testing.T, name string) TopologyConfig {
+func manualCfg(t testing.TB, name string) TopologyConfig {
 	t.Helper()
 	g, err := topo.Butterfly(4)
 	if err != nil {

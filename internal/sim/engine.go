@@ -446,7 +446,7 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 	// preselected path plus prepend headroom, so the injection wave
 	// allocates nothing (previously the first borrow of every packet
 	// was a fresh allocation — ~N allocs charged to the startup
-	// transient; see BENCH_engine.json history).
+	// transient).
 	maxLen := 0
 	for _, path := range p.Set.Paths {
 		if len(path) > maxLen {
